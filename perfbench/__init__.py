@@ -1,0 +1,5 @@
+"""The repository benchmark: four workloads over the public ``repro`` API.
+
+Run it as ``python3 perfbench/run.py --workload NAME --seed N --seconds S
+--trace 0|1`` from the repository root; see ``perfbench/README.md``.
+"""
