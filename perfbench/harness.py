@@ -120,11 +120,15 @@ class Clock:
     """Accumulates the timed segments of one pass.
 
     Work inside :meth:`timed` counts toward the pass; checks and object
-    drops between segments do not.
+    drops between segments do not.  ``reference`` sums the same segments,
+    each rescaled to reference host speed by the probe timed just before
+    and just after it (those probes are not timed).
     """
 
     def __init__(self) -> None:
         self.elapsed = 0.0
+        self.reference = 0.0
+        self.probes = [probe_seconds()]
 
     @contextmanager
     def timed(self):
@@ -132,7 +136,11 @@ class Clock:
         try:
             yield
         finally:
-            self.elapsed += time.perf_counter() - started
+            seconds = time.perf_counter() - started
+            self.probes.append(probe_seconds())
+            self.elapsed += seconds
+            probe = (self.probes[-2] + self.probes[-1]) / 2
+            self.reference += seconds * REFERENCE_PROBE_S / probe
 
 
 def keep_going(pass_times: list[float], seconds: float) -> bool:
@@ -144,3 +152,28 @@ def keep_going(pass_times: list[float], seconds: float) -> bool:
     if len(pass_times) < MIN_PASSES:
         return True
     return sum(pass_times) + median(pass_times) <= seconds
+
+
+#: The probe's time on a host at reference speed: ``pass_ref_s`` sums a
+#: pass's timed segments, each times this over the probe's time around it.
+#: A probe time typical of a two-vCPU VM, which ran it in 3.5-9 ms.
+REFERENCE_PROBE_S = 0.005
+
+
+def probe_seconds(iterations: int = 50_000) -> float:
+    """Wall time of a fixed integer loop.
+
+    It gauges how fast the host runs Python right now, so that times
+    taken in different host speed states can be compared.  No code of
+    the program runs in it, so no change to the program moves it, and it
+    allocates nothing, so the program's heap and the garbage collector do
+    not enter it.  Of the probes tried on a two-vCPU VM whose speed swung
+    by up to 2x within seconds, this loop's time moved most nearly in
+    proportion to the program's: a dict-and-object probe moved about
+    twice as much as compiles did, so dividing by it over-corrected.
+    """
+    started = time.perf_counter()
+    total = 0
+    for index in range(iterations):
+        total += index * index % 7
+    return time.perf_counter() - started

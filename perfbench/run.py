@@ -1,6 +1,6 @@
 """Run one benchmark workload and print its metrics.
 
-    python3 perfbench/run.py --workload scale-compile --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload scale-compile --seed 1 --seconds 15 --trace 0
 
 Run from the repository root.  The last line of standard output is one
 JSON object: ``correct``, ``attempted``, ``failed`` and ``metrics`` (the
@@ -16,6 +16,7 @@ import gc
 import json
 import os
 import signal
+import subprocess
 import sys
 import time
 
@@ -72,11 +73,11 @@ def build_workload(args, tracer):
     from perfbench import workloads
     from perfbench.checks import load_reference_execute
 
+    reference_execute = load_reference_execute(ROOT)
     if args.workload == "serve-mixed":
         from perfbench.serve import ServeWorkload
 
-        return ServeWorkload(ROOT, args.seed, tracer, tiny=args.tiny)
-    reference_execute = load_reference_execute(ROOT)
+        return ServeWorkload(ROOT, args.seed, reference_execute, tracer, tiny=args.tiny)
     if args.workload == "reprice-sweep":
         cells = workloads.TINY_REPRICE_SCHEDULES if args.tiny else workloads.REPRICE_SCHEDULES
         return workloads.RepriceWorkload(cells, args.seed, reference_execute, tracer)
@@ -99,6 +100,8 @@ def layer_metrics(workload, setups, traced, untraced) -> dict[str, float]:
         values[name + "_s"] = median(layers.get(name, 0.0) for layers in setups)
     for name in ("compile_s", "execute_s"):
         values[name] = med(untraced, name)
+    values["pass_s"] = median(p.seconds for p in untraced)
+    values["probe_ms"] = median(p.probe_s for p in untraced) * 1000.0
     for name in SPAN_LAYERS:
         values[name + "_s"] = med(traced, name)
     for name in COUNTERS:
@@ -107,8 +110,10 @@ def layer_metrics(workload, setups, traced, untraced) -> dict[str, float]:
         values[f"core.{step}_s"] for step in ("sabre_forward", "sabre_reverse", "schedule")
     )
     values["core.ops_per_s"] = values["core.ops"] / scheduling if scheduling else 0.0
-    values["trace.overhead_s"] = median(p.seconds for p in traced) - median(
-        p.seconds for p in untraced
+    # Rescaled pass times, so a host speed swing between the traced and
+    # untraced passes is not read as overhead.
+    values["trace.overhead_s"] = median(p.reference_seconds for p in traced) - median(
+        p.reference_seconds for p in untraced
     )
     spans = getattr(workload, "spans", None)
     if spans is not None:
@@ -126,12 +131,37 @@ def layer_metrics(workload, setups, traced, untraced) -> dict[str, float]:
     return values
 
 
+#: What ``build_workload`` imports and loads, timed in a fresh interpreter.
+IMPORT_PROBE = """
+import sys, time
+started = time.perf_counter()
+sys.path[:0] = sys.argv[1:3]
+__import__(sys.argv[3])
+from perfbench.checks import load_reference_execute
+load_reference_execute(sys.argv[2])
+print(time.perf_counter() - started)
+"""
+
+
+def import_seconds(module: str) -> float:
+    """Seconds a fresh interpreter takes to import ``module`` (and with
+    it ``repro``) and load the reference executor."""
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, os.path.join(ROOT, "src"), ROOT, module],
+        cwd=ROOT, capture_output=True, text=True, check=True, timeout=120,
+    )
+    return float(done.stdout.split()[-1])
+
+
 def run(args) -> dict:
     tracer = Tracer(enabled=bool(args.trace))
     workload = build_workload(args, tracer)
-    # Interpreter-side set-up paid once per run: imports and loading the
-    # reference executor.
-    import_s = time.perf_counter() - STARTED
+    # Interpreter-side set-up: imports and loading the reference executor.
+    # This process pays it once; fresh interpreters time it again so that
+    # it, too, is a median of SETUP_REPEATS.
+    import_times = [time.perf_counter() - STARTED]
+    module = "perfbench.serve" if args.workload == "serve-mixed" else "perfbench.workloads"
+    import_times += [import_seconds(module) for _ in range(SETUP_REPEATS - 1)]
     passes, setups, setup_times, problems = [], [], [], []
     try:
         for _ in range(SETUP_REPEATS):
@@ -141,6 +171,8 @@ def run(args) -> dict:
             setup_times.append(time.perf_counter() - started)
             setups.append(tracer.layer_totals(mark))
             gc.collect()
+        problems += workload.setup_problems()
+        gc.collect()
         # Set-up objects live for the whole run; frozen, they are not
         # re-traversed by every collection a pass triggers.
         gc.freeze()
@@ -180,7 +212,9 @@ def run(args) -> dict:
     print(
         f"{args.workload}: seed {args.seed}, {len(passes)} passes "
         f"({len(traced)} traced), {attempted} operations, {failed} failed, "
-        f"set-ups {', '.join(f'{s:.3f}' for s in setup_times)} s",
+        f"set-ups {', '.join(f'{s:.3f}' for s in setup_times)} s, wall-clock median "
+        f"pass {median(p.seconds for p in untraced):.4f} s, median probe "
+        f"{median(p.probe_s for p in untraced) * 1000:.2f} ms",
         file=sys.stderr,
     )
     if args.trace:
@@ -188,11 +222,9 @@ def run(args) -> dict:
         values = layer_metrics(workload, setups, traced, untraced)
         units = declared_units("per_layer")
     else:
-        pass_s = median(p.seconds for p in untraced)
         values = {
-            "setup_s": import_s + median(setup_times),
-            "pass_s": pass_s,
-            "req_per_s": untraced[0].attempted / pass_s,
+            "setup_s": median(import_times) + median(setup_times),
+            "pass_ref_s": median(p.reference_seconds for p in untraced),
             "peak_rss_mb": peak_rss_mb,
             "shuttles": median(p.shuttles for p in untraced),
             "makespan_us": median(p.makespan_us for p in untraced),

@@ -28,7 +28,7 @@ import time
 import repro
 from repro.sim import execute
 
-from .checks import report_fields, report_problems
+from .checks import gate_order_problems, report_fields, report_problems
 from .harness import Clock, Tracer, process_peak_rss_mb
 from .workloads import PassResult
 
@@ -118,8 +118,11 @@ class ServerProcess:
 
 
 class ServeWorkload:
-    def __init__(self, root: str, seed: int, tracer: Tracer, tiny: bool = False) -> None:
+    def __init__(
+        self, root: str, seed: int, reference_execute, tracer: Tracer, tiny: bool = False
+    ) -> None:
         self.root = root
+        self.reference_execute = reference_execute
         self.scratch = os.path.join(root, ".perfbench")
         self.rng = random.Random(seed)
         self.tracer = tracer
@@ -138,19 +141,16 @@ class ServeWorkload:
         fresh server and fill its cache with the hit set."""
         self.close()
         tracer = self.tracer
-        expected, small_programs = {}, {}
+        expected, programs = {}, {}
         for app in self.small + self.large:
             with tracer.span("workloads.generate", app):
                 circuit = repro.get_benchmark(app)
             with tracer.span("hardware.resolve", MACHINE):
                 machine = repro.resolve_machine(MACHINE, circuit.num_qubits)
             with tracer.span("setup.compile", app):
-                program = repro.compile(circuit, machine).program
-                expected[app] = report_fields(execute(program))
-            if app in self.small:
-                small_programs[app] = program
-            del program
-        self.expected, self.small_programs = expected, small_programs
+                programs[app] = repro.compile(circuit, machine).program
+                expected[app] = report_fields(execute(programs[app]))
+        self.expected, self.programs = expected, programs
         os.makedirs(self.scratch, exist_ok=True)
         with tracer.span("setup.boot"):
             self.server = ServerProcess(self.root, self.scratch)
@@ -160,6 +160,19 @@ class ServeWorkload:
                 if status != 200:
                     raise RuntimeError(f"filling {app} failed: {status} {body[:200]!r}")
         self.planned = {"hits": 0, "misses": len(self.small) + len(self.large)}
+
+    def setup_problems(self) -> list[str]:
+        """The in-process programs the responses are checked against pass
+        the order check and match the reference executor.  Run once,
+        after the timed set-ups; the large programs are dropped after."""
+        problems = []
+        for app, program in self.programs.items():
+            problems += [f"{app}: {p}" for p in gate_order_problems(program)]
+            problems += report_problems(
+                self.expected[app], self.reference_execute(program), f"{app} reference"
+            )
+        self.programs = {app: self.programs[app] for app in self.misses}
+        return problems
 
     def close(self) -> None:
         if self.server is not None:
@@ -198,7 +211,7 @@ class ServeWorkload:
                     started = time.perf_counter()
                     status, body = self.server.request("POST", "/compile", payload)
                     replies.append((time.perf_counter() - started, status, body))
-        result.seconds = clock.elapsed
+        result.clocked(clock)
         for (kind, app, payload), (seconds, status, body) in zip(jobs, replies):
             latency_ms = seconds * 1000.0
             result.record(self._check(kind, app, payload, status, body, latency_ms, result))
@@ -216,7 +229,7 @@ class ServeWorkload:
         if kind == "miss":
             self.miss_ms.append(latency_ms)
             params = repro.resolve_physics(payload["physics"])
-            expected = execute(self.small_programs[app], params)
+            expected = execute(self.programs[app], params)
             want_cache = "miss"
         else:
             self.hit_ms[kind].append(latency_ms)

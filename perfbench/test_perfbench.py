@@ -112,6 +112,25 @@ def test_paper_property_is_rejected_when_a_baseline_wins():
     assert paper_property_problems(totals) == ["small: MUSS-TI 192 shuttles, not below dai 192"]
 
 
+def test_reprice_passes_keep_the_packed_records():
+    from perfbench.harness import Tracer
+    from perfbench.workloads import TINY_REPRICE_SCHEDULES, RepriceWorkload
+
+    workload = RepriceWorkload(
+        TINY_REPRICE_SCHEDULES, 7, load_reference_execute(ROOT), Tracer(enabled=False)
+    )
+    workload.setup()
+    assert workload.setup_problems() == []
+    for traced in (False, True):
+        result = workload.run_pass(traced)
+        assert result.failed == 0 and result.attempted == len(TINY_REPRICE_SCHEDULES)
+    for cell in TINY_REPRICE_SCHEDULES:
+        packed = getattr(workload.programs[cell.key], "packed_view", None)
+        # MUSS-TI schedules come from the array core and must still be
+        # replayed and priced from their packed records.
+        assert (packed is not None) == (cell.compiler == "muss-ti")
+
+
 def declared():
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
         spec = json.load(handle)

@@ -3,6 +3,7 @@
 
 A workload object is built once per run.  ``setup`` is called
 :data:`~perfbench.harness.SETUP_REPEATS` times (the last one is kept);
+``setup_problems`` then checks, once and untimed, what set-up produced;
 ``run_pass`` runs one pass and returns a :class:`PassResult`.  Only work
 inside ``clock.timed()`` counts toward a pass; checks, and dropping each
 cell's program before the next cell starts, happen outside it.  Cyclic
@@ -12,6 +13,7 @@ collection per cell would double the run time of ``paper-compare``.
 
 from __future__ import annotations
 
+import copy
 import random
 import time
 from dataclasses import dataclass, field, replace
@@ -30,7 +32,7 @@ from .checks import (
     physics_problems,
     report_problems,
 )
-from .harness import Clock, Tracer
+from .harness import Clock, Tracer, median
 
 
 @dataclass
@@ -38,6 +40,10 @@ class PassResult:
     """What one pass measured, and how its operations fared."""
 
     seconds: float = 0.0
+    #: ``seconds`` rescaled to reference host speed (see ``Clock``).
+    reference_seconds: float = 0.0
+    #: Median probe time over the pass (see ``harness.probe_seconds``).
+    probe_s: float = 0.0
     traced: bool = False
     attempted: int = 0
     failed: int = 0
@@ -49,6 +55,12 @@ class PassResult:
     op_problems: list[str] = field(default_factory=list)
     #: Failures of checks that span a whole pass (not one operation).
     problems: list[str] = field(default_factory=list)
+
+    def clocked(self, clock: Clock) -> None:
+        """Take the pass's times from its clock."""
+        self.seconds = clock.elapsed
+        self.reference_seconds = clock.reference
+        self.probe_s = median(clock.probes)
 
     def add(self, name: str, value: float) -> None:
         self.layers[name] = self.layers.get(name, 0.0) + value
@@ -216,6 +228,10 @@ class CompileWorkload:
         )
         self.sabre = SabreSteps()
 
+    def setup_problems(self) -> list[str]:
+        """None: every program is checked in the pass that compiles it."""
+        return []
+
     def run_pass(self, traced: bool) -> PassResult:
         result = PassResult(traced=traced)
         clock = Clock()
@@ -234,7 +250,7 @@ class CompileWorkload:
                 key = (cell.scale, cell.compiler)
                 totals[key] = totals.get(key, 0) + report.shuttle_count
         result.problems.extend(paper_property_problems(totals))
-        result.seconds = clock.elapsed
+        result.clocked(clock)
         return result
 
     def _run_cell(self, cell: Cell, clock: Clock, result: PassResult, traced: bool):
@@ -303,15 +319,42 @@ class RepriceWorkload:
         circuits, machines = build_inputs(
             [(cell.app, cell.machine) for cell in self.cells], self.tracer
         )
-        self.programs = {}
+        self.programs, self.object_programs, self.packed = {}, {}, {}
         for cell in self.cells:
             circuit = circuits[cell.app]
             machine = machines[(cell.machine, circuit.num_qubits)]
             with self.tracer.span("setup.compile", cell.key):
-                self.programs[cell.key] = repro.compile(
-                    circuit, machine, compiler=cell.compiler
-                ).program
+                program = repro.compile(circuit, machine, compiler=cell.compiler).program
+                # Reading ``operations`` turns an array-core program's
+                # packed records into op objects for good, after which
+                # replay and both folds take the object path.  The shallow
+                # copy is the one read as objects (by ``verify_logical``
+                # and the checks), built here so no pass pays for it; the
+                # original stays packed for ``replay`` and ``price_many``.
+                object_program = copy.copy(program)
+                object_program.operations
+            self.programs[cell.key] = program
+            self.object_programs[cell.key] = object_program
+            self.packed[cell.key] = getattr(program, "packed_view", None)
         self.params = {spec: repro.resolve_physics(spec) for spec in REPRICE_PROFILES}
+
+    def setup_problems(self) -> list[str]:
+        """Order check and reference match of each schedule, and the
+        expected report of every arm: ``execute`` of the object copy, so
+        the packed path's reports must equal the object path's."""
+        problems = []
+        for key, object_program in self.object_programs.items():
+            problems += [f"{key}: {p}" for p in gate_order_problems(object_program)]
+            self.expected[key] = {
+                label: execute(object_program, params)
+                for label, params in self.params.items()
+            }
+            problems += report_problems(
+                self.expected[key]["table1"],
+                self.reference_execute(object_program),
+                f"{key} reference",
+            )
+        return problems
 
     def run_pass(self, traced: bool) -> PassResult:
         result = PassResult(traced=traced)
@@ -319,20 +362,20 @@ class RepriceWorkload:
         order = list(self.cells)
         self.rng.shuffle(order)
         for cell in order:
-            program = self.programs[cell.key]
-            reports, problems = self._run_schedule(cell.key, program, clock, result, traced)
+            reports, problems = self._run_schedule(cell.key, clock, result, traced)
             result.record(problems)
             if cell.compiler == "muss-ti":
                 result.shuttles += reports["table1"].shuttle_count
                 result.makespan_us += reports["table1"].makespan_us
-        result.seconds = clock.elapsed
+        result.clocked(clock)
         return result
 
-    def _run_schedule(self, key: str, program, clock: Clock, result: PassResult, traced: bool):
+    def _run_schedule(self, key: str, clock: Clock, result: PassResult, traced: bool):
         tracer = self.tracer
+        program, object_program = self.programs[key], self.object_programs[key]
         with clock.timed():
             with tracer.span("sim.verify", key):
-                verify_logical(program)
+                verify_logical(object_program)
             verified = time.perf_counter()
             if traced:
                 with tracer.span("sim.replay", key):
@@ -352,16 +395,8 @@ class RepriceWorkload:
             finished = time.perf_counter()
         result.add("execute_s", finished - verified)
         problems = physics_problems(reports, self.params)
-        expected = self.expected.get(key)
-        if expected is None:
-            problems += gate_order_problems(program)
-            expected = {
-                label: execute(program, params) for label, params in self.params.items()
-            }
-            problems += report_problems(
-                expected["table1"], self.reference_execute(program), f"{key} reference"
-            )
-            self.expected[key] = expected
+        if getattr(program, "packed_view", None) is not self.packed[key]:
+            problems.append("the packed records were turned into op objects")
         for label, report in reports.items():
-            problems += report_problems(report, expected[label], f"{key} {label}")
+            problems += report_problems(report, self.expected[key][label], label)
         return reports, [f"{key}: {p}" for p in problems]
